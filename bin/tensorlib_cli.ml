@@ -1068,6 +1068,14 @@ let extents_of_string s =
       | _ -> failwith ("bad extent binding: " ^ kv))
     (String.split_on_char ',' s)
 
+(* A request's einsum with its extents; parse errors and invalid extents
+   (zero, negative, an index missing from "extents") become [Failure], so
+   the reply keeps the request's id. *)
+let request_stmt ~what formula extents =
+  try Parse.stmt formula ~extents
+  with Parse.Parse_error msg | Invalid_argument msg ->
+    failwith (Printf.sprintf "bad %s: %s" what msg)
+
 (* Program request against the standing programmable netlist
    (--accel-workload): compile the einsum to a descriptor program, load
    and run it on the server's one amortised simulator, verify against the
@@ -1085,7 +1093,7 @@ let serve_program ~accel ~id req =
       | None -> failwith "\"einsum\" requires \"extents\""
       | Some s -> extents_of_string s
     in
-    let stmt = Parse.stmt formula ~extents in
+    let stmt = request_stmt ~what:"einsum" formula extents in
     match Compile.find_design ~target stmt with
     | Error rejections ->
       let head =
@@ -1111,12 +1119,8 @@ let serve_program ~accel ~id req =
         Perf.estimate_program ~rows:target.Accel.rows
           ~cols:target.Accel.cols program
       in
-      let program_json =
-        match Json.parse (Compile.program_to_json program) with
-        | Ok j -> j
-        | Error _ -> Json.Null
-      in
-      Json.Obj
+      (* the program document is already JSON: splice it, don't reparse *)
+      Json.obj_with_raw
         [ ("id", id);
           ("ok", Json.Bool true);
           ("design", Json.Str design.Design.name);
@@ -1124,21 +1128,25 @@ let serve_program ~accel ~id req =
           ("cycles", Json.Num (float_of_int est.Perf.pe_cycles));
           ("macs", Json.Num (float_of_int est.Perf.pe_macs));
           ("program_words",
-           Json.Num (float_of_int est.Perf.pe_program_words));
-          ("program", program_json) ])
+           Json.Num (float_of_int est.Perf.pe_program_words)) ]
+        ~raw:[ ("program", Compile.program_to_json program) ])
+
+(* A reply: whether it answers [ok], and its encoded line. *)
+let serve_error id msg =
+  ( false,
+    Json.to_string
+      (Json.Obj [ ("id", id); ("ok", Json.Bool false); ("error", Json.Str msg) ])
+  )
 
 let serve_request ?deadline_ms ?accel store limit line =
-  let fail id msg =
-    Json.Obj
-      (("id", id) :: [ ("ok", Json.Bool false); ("error", Json.Str msg) ])
-  in
+  let fail = serve_error in
   match Json.parse line with
   | Error msg -> fail Json.Null ("bad request: " ^ msg)
   | Ok req when Json.mem_string req "einsum" <> None -> (
     let id = Option.value (Json.member "id" req) ~default:Json.Null in
     match serve_program ~accel ~id req with
     | exception Failure msg -> fail id msg
-    | answer -> answer)
+    | answer -> (true, answer))
   | Ok req -> (
     let id = Option.value (Json.member "id" req) ~default:Json.Null in
     let layers_of () =
@@ -1150,7 +1158,7 @@ let serve_request ?deadline_ms ?accel store limit line =
           | None -> failwith "\"expr\" requires \"extents\""
           | Some s -> extents_of_string s
         in
-        let stmt = Parse.stmt formula ~extents in
+        let stmt = request_stmt ~what:"expr" formula extents in
         ("adhoc", [ (stmt.Stmt.name, stmt) ])
       | None, None ->
         failwith "request needs \"network\", \"expr\" or \"einsum\""
@@ -1176,16 +1184,19 @@ let serve_request ?deadline_ms ?accel store limit line =
         let req_hits = after.Par.Cache.hits - before.Par.Cache.hits in
         let req_misses = after.Par.Cache.misses - before.Par.Cache.misses in
         let req_total = req_hits + req_misses in
-        Json.Obj
-          [ ("id", id);
-            ("ok", Json.Bool true);
-            ("report", report_json r);
-            ("store_hits", Json.Num (float_of_int req_hits));
-            ("store_misses", Json.Num (float_of_int req_misses));
-            ("store_hit_rate",
-             Json.Num
-               (if req_total = 0 then 1.
-                else float_of_int req_hits /. float_of_int req_total)) ]))
+        let hit_rate =
+          if req_total = 0 then 1.
+          else float_of_int req_hits /. float_of_int req_total
+        in
+        ( true,
+          Json.to_string
+            (Json.Obj
+               [ ("id", id);
+                 ("ok", Json.Bool true);
+                 ("report", report_json r);
+                 ("store_hits", Json.Num (float_of_int req_hits));
+                 ("store_misses", Json.Num (float_of_int req_misses));
+                 ("store_hit_rate", Json.Num hit_rate) ]) )))
 
 (* Bounded request reader: the server never buffers more than the cap no
    matter what arrives on stdin. *)
@@ -1240,32 +1251,22 @@ let serve_cmd =
     let store = store_of_path store_dir in
     let served = ref 0 in
     let errors = ref 0 in
-    let respond json =
+    let respond (ok, reply) =
       incr served;
-      (match Json.member "ok" json with
-      | Some (Json.Bool false) -> incr errors
-      | _ -> ());
-      print_endline (Json.to_string json);
+      if not ok then incr errors;
+      print_endline reply;
       flush stdout
     in
     let handle line =
       (* last-resort containment: any unanticipated exception becomes a
          structured error answer, never a dead server *)
       try serve_request ?deadline_ms ?accel store limit line
-      with e ->
-        Json.Obj
-          [ ("id", Json.Null);
-            ("ok", Json.Bool false);
-            ("error", Json.Str ("internal: " ^ Printexc.to_string e)) ]
+      with e -> serve_error Json.Null ("internal: " ^ Printexc.to_string e)
     in
     let oversized_answer =
-      Json.Obj
-        [ ("id", Json.Null);
-          ("ok", Json.Bool false);
-          ("error",
-           Json.Str
-             (Printf.sprintf "request exceeds --max-request-bytes=%d"
-                max_request_bytes)) ]
+      serve_error Json.Null
+        (Printf.sprintf "request exceeds --max-request-bytes=%d"
+           max_request_bytes)
     in
     let shutdown () =
       Printf.eprintf "serve: shutdown after %d responses (%d errors)\n%!"

@@ -74,23 +74,35 @@ let rename_of (target : Tl_stt.Design.t) (request : Tl_stt.Design.t) =
   in
   fun n -> match List.assoc_opt n pairs with Some n' -> n' | None -> n
 
-let capacity_check (env : Layout.envelope) (l : Layout.t) =
+(* Schedule length against the envelope, from the schedule frame alone:
+   it materialises no events, so an oversized request is refused before
+   [Layout.build] spends time proportional to its size. *)
+let schedule_check (env : Layout.envelope) (request : Tl_stt.Design.t) ~rows
+    ~cols =
+  let* fr =
+    try Ok (Schedule.frame request ~rows ~cols)
+    with Schedule.Unsupported msg -> Error (Unsupported_design msg)
+  in
+  let total =
+    Layout.total_cycles ~compute_end:fr.Schedule.f_compute_end ~rows request
+  in
   let* () =
-    if l.Layout.l_total > env.Layout.env_cycles then
+    if total > env.Layout.env_cycles then
       Error
         (Capacity_exceeded
-           { what = "schedule cycles"; need = l.Layout.l_total;
+           { what = "schedule cycles"; need = total;
              capacity = env.Layout.env_cycles })
     else Ok ()
   in
-  let* () =
-    if l.Layout.l_passes > env.Layout.env_passes then
-      Error
-        (Capacity_exceeded
-           { what = "schedule passes"; need = l.Layout.l_passes;
-             capacity = env.Layout.env_passes })
-    else Ok ()
-  in
+  if fr.Schedule.f_passes > env.Layout.env_passes then
+    Error
+      (Capacity_exceeded
+         { what = "schedule passes"; need = fr.Schedule.f_passes;
+           capacity = env.Layout.env_passes })
+  else Ok ()
+
+(* the data-side envelope dimensions, known only once the layout is built *)
+let capacity_check (env : Layout.envelope) (l : Layout.t) =
   let* () =
     List.fold_left
       (fun acc (inp : Layout.input) ->
@@ -155,10 +167,11 @@ let compile ~(target : Accel.t) (request : Tl_stt.Design.t) =
            ("no netlist template for " ^ request.Tl_stt.Design.name))
   in
   let* () = dataflow_check target.Accel.design request in
+  let rows = target.Accel.rows and cols = target.Accel.cols in
+  let* () = schedule_check pi.Accel.pi_envelope request ~rows ~cols in
   let rename = rename_of target.Accel.design request in
   let* l =
-    try Ok (Layout.build ~rename request ~rows:target.Accel.rows
-              ~cols:target.Accel.cols)
+    try Ok (Layout.build ~rename request ~rows ~cols)
     with Layout.Unsupported msg -> Error (Unsupported_design msg)
   in
   let* () =

@@ -47,7 +47,12 @@ val compile : target:Tl_templates.Accel.t -> Tl_stt.Design.t ->
     positionally onto the target's, so environments keyed by the request's
     own tensor names load directly ([Layout.input.in_tensor] keeps the
     request-side name).  A returned program is guaranteed loadable on
-    [target]. *)
+    [target].
+
+    Schedule cycles and passes are checked against the envelope from the
+    schedule frame, before the layout is built, so an oversized request is
+    refused in time independent of its size.  A request that is both too
+    long and structurally different reports [Capacity_exceeded]. *)
 
 val find_design : target:Tl_templates.Accel.t -> Tl_ir.Stmt.t ->
   (Tl_stt.Design.t * Tl_templates.Layout.program,

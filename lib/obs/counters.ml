@@ -16,19 +16,6 @@ type expected = {
   e_writes_total : int;            (* aggregate over collector banks *)
 }
 
-(* same fold as the generator's drain margin: the model-side prediction
-   of the total cycle count is f_compute_end + rows + max_dt + 4 *)
-let max_dt (design : Tl_stt.Design.t) =
-  List.fold_left
-    (fun acc (ti : Tl_stt.Design.tensor_info) ->
-      match ti.Tl_stt.Design.dataflow with
-      | Tl_stt.Dataflow.Systolic { dt; _ } -> max acc dt
-      | Tl_stt.Dataflow.Reuse2d
-          (Tl_stt.Dataflow.Systolic_multicast { systolic; _ }) ->
-        max acc systolic.Tl_stt.Dataflow.dt
-      | _ -> acc)
-    1 design.Tl_stt.Design.tensors
-
 let iround f = int_of_float (Float.round f)
 
 let expected (acc : Accel.t) =
@@ -52,7 +39,9 @@ let expected (acc : Accel.t) =
     (Tl_stt.Design.output_info design).Tl_stt.Design.access
       .Tl_ir.Access.tensor
   in
-  { e_cycles = fr.Schedule.f_compute_end + acc.Accel.rows + max_dt design + 4;
+  { e_cycles =
+      Layout.total_cycles ~compute_end:fr.Schedule.f_compute_end
+        ~rows:acc.Accel.rows design;
     e_active_pe_cycles =
       passes * stats.Tl_perf.Perf_model.active_pe_cycles;
     e_reads;

@@ -202,8 +202,11 @@ let escape s =
     s;
   Buffer.contents buf
 
+(* integral values print as "%.0f" would, without the format machinery;
+   negative zero keeps its sign *)
 let number f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  if Float.is_integer f && Float.abs f < 1e15 then
+    if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f)
   else
     let s = Printf.sprintf "%.17g" f in
     if Float.is_finite f then s else "null"
@@ -239,6 +242,21 @@ let rec render buf = function
 let to_string v =
   let buf = Buffer.create 256 in
   render buf v;
+  Buffer.contents buf
+
+let obj_with_raw members ~raw =
+  let buf = Buffer.create 256 in
+  render buf (Obj members);
+  Buffer.truncate buf (Buffer.length buf - 1);
+  List.iteri
+    (fun i (k, text) ->
+      if i > 0 || members <> [] then Buffer.add_string buf ", ";
+      Buffer.add_char buf '"';
+      Buffer.add_string buf (escape k);
+      Buffer.add_string buf "\": ";
+      Buffer.add_string buf text)
+    raw;
+  Buffer.add_char buf '}';
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

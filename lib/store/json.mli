@@ -17,6 +17,13 @@ val to_string : t -> string
 (** Render on one line (no newlines are ever emitted), suitable for a
     line-oriented protocol.  Non-finite numbers render as [null]. *)
 
+val obj_with_raw : (string * t) list -> raw:(string * string) list -> string
+(** [obj_with_raw members ~raw] renders the object [members] followed by
+    the [raw] members, whose values are already-encoded JSON texts spliced
+    verbatim.  When each text is a {!to_string} output, the result is
+    byte-identical to rendering the whole object in one piece, without
+    parsing the texts back. *)
+
 val member : string -> t -> t option
 (** Object field lookup; [None] for non-objects and missing keys. *)
 

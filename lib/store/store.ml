@@ -159,9 +159,11 @@ let save_index st root =
   write_atomic st root ~dest:(index_file root) (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
-(* Eviction: drop oldest-mtime entries until back under the cap. *)
+(* Eviction: drop oldest-mtime entries until back under the cap.  [keep]
+   is the entry just written: entries written within one mtime tick tie,
+   and a tie must never evict the put's own entry. *)
 
-let evict_locked st root cap =
+let evict_locked st root cap ~keep =
   let entries =
     Hashtbl.fold
       (fun digest () acc ->
@@ -176,7 +178,9 @@ let evict_locked st root cap =
   in
   let n = List.length entries in
   if n > cap then begin
-    let by_age = List.sort compare entries in
+    let by_age =
+      List.sort compare (List.filter (fun (_, d) -> d <> keep) entries)
+    in
     let doomed = ref (n - cap) in
     List.iter
       (fun (_, digest) ->
@@ -298,7 +302,7 @@ let put st key payload =
           end;
           match st.max_entries with
           | Some cap when Hashtbl.length st.index > cap ->
-            evict_locked st root cap
+            evict_locked st root cap ~keep:digest
           | _ -> ())
     in
     match

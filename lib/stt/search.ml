@@ -1,16 +1,6 @@
 (* Enumerate full-rank {-1,0,1} matrices once per dimension. *)
 let cache : (int, int list list list) Hashtbl.t = Hashtbl.create 4
 
-(* Search order: light matrices first, then fewest negative entries, then
-   lexicographically largest (puts identity-like matrices ahead). *)
-let weight m =
-  let sum f =
-    List.fold_left
-      (fun acc row -> List.fold_left (fun a x -> a + f x) acc row)
-      0 m
-  in
-  (sum abs, sum (fun x -> if x < 0 then 1 else 0), List.map (List.map (fun x -> -x)) m)
-
 let full_rank m =
   match m with
   | [ [ a; b ]; [ c; d ] ] -> (a * d) - (b * c) <> 0
@@ -22,16 +12,24 @@ let full_rank m =
     let mat = Tl_linalg.Mat.of_int_rows m in
     not (Tl_linalg.Rat.is_zero (Tl_linalg.Mat.det mat))
 
+let rec pow3 k = if k = 0 then 1 else 3 * pow3 (k - 1)
+
+(* Search order: light matrices first, then fewest negative entries, then
+   lexicographically largest (puts identity-like matrices ahead).  The
+   order is packed into one int per matrix: (abs sum, negative count) above
+   a row-major base-3 code of [1 - x] per cell, whose low part also decodes
+   back to the matrix, so sorting allocates nothing per comparison.  The
+   decoded matrices share their 3^n possible rows. *)
 let candidate_matrices ~n =
   match Hashtbl.find_opt cache n with
   | Some ms -> ms
   | None ->
     let cells = n * n in
-    let all = ref [] in
+    let radix = pow3 cells in
+    let keys = ref [] in
     (* count in base 3 over the cells; entries are digit - 1 *)
     let digits = Array.make cells 0 in
-    let total = int_of_float (3. ** float_of_int cells) in
-    for code = 0 to total - 1 do
+    for code = 0 to radix - 1 do
       let c = ref code in
       for i = 0 to cells - 1 do
         digits.(i) <- (!c mod 3) - 1;
@@ -40,11 +38,29 @@ let candidate_matrices ~n =
       let m =
         List.init n (fun i -> List.init n (fun j -> digits.((i * n) + j)))
       in
-      if full_rank m then all := m :: !all
+      if full_rank m then begin
+        let weight = ref 0 and negs = ref 0 and lex = ref 0 in
+        Array.iter
+          (fun x ->
+            weight := !weight + abs x;
+            if x < 0 then incr negs;
+            lex := (!lex * 3) + (1 - x))
+          digits;
+        keys := ((((!weight * (cells + 1)) + !negs) * radix) + !lex) :: !keys
+      end
     done;
-    let ms =
-      List.stable_sort (fun a b -> compare (weight a) (weight b)) (List.rev !all)
+    let keys = Array.of_list !keys in
+    Array.sort Int.compare keys;
+    let row_radix = pow3 n in
+    let rows =
+      Array.init row_radix (fun code ->
+          List.init n (fun j -> 1 - (code / pow3 (n - 1 - j) mod 3)))
     in
+    let decode key =
+      let lex = key mod radix in
+      List.init n (fun i -> rows.(lex / pow3 (n * (n - 1 - i)) mod row_radix))
+    in
+    let ms = Array.to_list (Array.map decode keys) in
     Hashtbl.add cache n ms;
     ms
 
@@ -163,21 +179,84 @@ let find_design_exn stmt name =
   | Some d -> d
   | None -> raise Not_found
 
+(* A design's letters depend only on the loop depth, the selection, the
+   matrix and the positional access matrices: the dataflow analysis never
+   reads extents, and tensor and iterator names only enter the label.  The
+   candidate sweep is therefore memoised by that structure; each entry
+   holds, per selection in enumeration order, the first matrix realising
+   each distinct letter string. *)
+let structure_key ?selection stmt =
+  let buf = Buffer.create 64 in
+  let add_ints sep a =
+    Array.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char buf sep;
+        Buffer.add_string buf (string_of_int x))
+      a
+  in
+  Buffer.add_string buf (string_of_int (Tl_ir.Stmt.depth stmt));
+  (match selection with
+   | None -> Buffer.add_string buf "/all"
+   | Some s ->
+     Buffer.add_string buf "/sel:";
+     add_ints ',' s);
+  List.iter
+    (fun (a : Tl_ir.Access.t) ->
+      Buffer.add_char buf '|';
+      Array.iteri
+        (fun i row ->
+          if i > 0 then Buffer.add_char buf ';';
+          add_ints ',' row)
+        a.Tl_ir.Access.matrix)
+    (stmt.Tl_ir.Stmt.inputs @ [ stmt.Tl_ir.Stmt.output ]);
+  Buffer.contents buf
+
+let letter_cache : (string * int list list) list list Tl_par.Cache.t =
+  Tl_par.Cache.create ~name:"stt.all_designs" ()
+
+let first_matrix_per_letters stmt sels =
+  List.map
+    (fun selected ->
+      let analyze = Design.analyzer stmt ~selected in
+      (* the label is fixed within a selection: distinct names are
+         distinct letter strings *)
+      let seen = Hashtbl.create 64 in
+      let found =
+        List.filter_map
+          (fun m ->
+            let d = analyze (Transform.v stmt ~selected ~matrix:m) in
+            if Hashtbl.mem seen d.Design.name then None
+            else begin
+              Hashtbl.add seen d.Design.name ();
+              Some (Design.letters d, m)
+            end)
+          (candidate_matrices ~n:(Array.length selected))
+      in
+      found)
+    sels
+
+(* Hit or miss, every design is rebuilt on the caller's own statement: a
+   design record carries its statement, so names and extents come from the
+   request, never from the statement that filled the cache. *)
 let all_designs ?selection stmt =
   let sels =
     match selection with Some s -> [ s ] | None -> selections stmt ~n:3
   in
+  let per_selection =
+    Tl_par.Cache.find_or_add letter_cache (structure_key ?selection stmt)
+      (fun () -> first_matrix_per_letters stmt sels)
+  in
   let table = Hashtbl.create 64 in
-  List.iter
-    (fun selected ->
+  List.iter2
+    (fun selected found ->
       let analyze = Design.analyzer stmt ~selected in
       List.iter
-        (fun m ->
+        (fun (letters, m) ->
           let t = Transform.v stmt ~selected ~matrix:m in
-          let d = analyze t in
-          if not (Hashtbl.mem table d.Design.name) then
-            Hashtbl.add table d.Design.name d)
-        (candidate_matrices ~n:(Array.length selected)))
-    sels;
+          let name = Transform.selection_label t ^ "-" ^ letters in
+          if not (Hashtbl.mem table name) then
+            Hashtbl.add table name (analyze t))
+        found)
+    sels per_selection;
   let names = Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] in
   List.sort (fun (a, _) (b, _) -> String.compare a b) names

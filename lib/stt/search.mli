@@ -42,4 +42,9 @@ val all_designs : ?selection:int array -> Tl_ir.Stmt.t ->
   (string * Design.t) list
 (** Every distinct dataflow name reachable over the candidate matrices (for
     the given selection, or all selections), with the simplest realising
-    design for each.  Names are returned sorted. *)
+    design for each.  Names are returned sorted.
+
+    The candidate sweep is memoised by statement structure (loop depth,
+    selection and positional access matrices — not extents, tensor or
+    iterator names), so a repeated shape costs one analysis per distinct
+    dataflow name.  Every returned design is built on [stmt] itself. *)

@@ -942,7 +942,9 @@ let generate ?(rows = 4) ?(cols = 4) ?(data_width = 16) ?(acc_width = 32)
     try Schedule.build design ~rows ~cols
     with Schedule.Unsupported msg -> raise (Unsupported msg)
   in
-  let total = sched.Schedule.compute_end + rows + Layout.max_dt design + 4 in
+  let total =
+    Layout.total_cycles ~compute_end:sched.Schedule.compute_end ~rows design
+  in
   let mode : table_mode =
     match programmable with None -> `Rom | Some e -> `Prog e
   in

@@ -89,8 +89,8 @@ let max_dt (design : Tl_stt.Design.t) =
       | Tl_stt.Dataflow.Reuse_full -> acc)
     1 design.Tl_stt.Design.tensors
 
-let total_cycles (sched : Schedule.t) ~rows design =
-  sched.Schedule.compute_end + rows + max_dt design + 4
+let total_cycles ~compute_end ~rows design =
+  compute_end + rows + max_dt design + 4
 
 (* ------------------------------------------------------------------ *)
 (* Build context: the pure mirror of accel.ml's [ctx].                  *)
@@ -667,7 +667,9 @@ let build ?(rename = Fun.id) (design : Tl_stt.Design.t) ~rows ~cols =
     try Schedule.build design ~rows ~cols
     with Schedule.Unsupported msg -> raise (Unsupported msg)
   in
-  let total = total_cycles sched ~rows design in
+  let total =
+    total_cycles ~compute_end:sched.Schedule.compute_end ~rows design
+  in
   let stmt = design.Tl_stt.Design.transform.Tl_stt.Transform.stmt in
   let shapes =
     List.map

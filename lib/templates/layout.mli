@@ -74,9 +74,10 @@ type program = {
     layout, detached from the design that produced it (serialised by
     {!Tl_compile.program_to_json}, loaded by {!Accel.load_program}). *)
 
-val max_dt : Tl_stt.Design.t -> int
-val total_cycles : Schedule.t -> rows:int -> Tl_stt.Design.t -> int
-(** The controller cycle count [Accel.generate] uses for this schedule. *)
+val total_cycles : compute_end:int -> rows:int -> Tl_stt.Design.t -> int
+(** The controller cycle count [Accel.generate] uses for a schedule whose
+    compute phase ends at [compute_end] ({!Schedule.t.compute_end}, or
+    {!Schedule.frame.f_compute_end} without materialising events). *)
 
 val build : ?rename:(string -> string) -> Tl_stt.Design.t ->
   rows:int -> cols:int -> t

@@ -296,6 +296,29 @@ let test_reject_capacity_exceeded () =
       (Compile.error_to_string e)
   | Ok _ -> Alcotest.fail "oversized shape must be rejected"
 
+(* the schedule length is checked from the frame, before Layout.build:
+   a request far beyond the envelope is refused in time independent of
+   its size, with the same typed error *)
+let test_reject_oversized_fast () =
+  let target, _ = target_and_request () in
+  let request =
+    Search.find_design_exn (Workloads.gemm ~m:4 ~n:4 ~k:100_000) "MNK-SST"
+  in
+  let t0 = Unix.gettimeofday () in
+  let r = Compile.compile ~target request in
+  let dt = Unix.gettimeofday () -. t0 in
+  (match r with
+   | Error (Compile.Capacity_exceeded { what; need; capacity }) ->
+     Alcotest.(check string) "schedule cycles checked" "schedule cycles" what;
+     Alcotest.(check bool) "need exceeds capacity" true (need > capacity)
+   | Error e ->
+     Alcotest.failf "expected Capacity_exceeded, got %s"
+       (Compile.error_to_string e)
+   | Ok _ -> Alcotest.fail "oversized shape must be rejected");
+  Alcotest.(check bool)
+    (Printf.sprintf "rejected in under 100 ms (took %.1f ms)" (1000. *. dt))
+    true (dt < 0.1)
+
 (* the width check is the load guarantee: against a target whose ports
    were (hypothetically) narrower than the envelope demands, compile
    must refuse rather than emit a program the loader would truncate *)
@@ -556,6 +579,67 @@ let test_cli_serve_einsum () =
       (Json.member "ok" j2 = Some (Json.Bool false))
   | _ -> Alcotest.fail "responses must all be JSON"
 
+(* bad einsum extents (zero, negative, an index missing from "extents")
+   are answered in-band with the request's own id *)
+let test_cli_serve_bad_extents () =
+  let requests = Filename.temp_file "tlreq" ".jsonl" in
+  let oc = open_out requests in
+  List.iteri
+    (fun i extents ->
+      Printf.fprintf oc
+        "{\"id\": %d, \"einsum\": \"C[m,n] += A[m,k] * B[n,k]\", \
+         \"extents\": \"%s\"}\n"
+        (10 + i) extents)
+    [ "m=4,n=4,k=0"; "m=4,n=4,k=-2"; "m=4,n=4" ];
+  close_out oc;
+  let rc, out, _ =
+    run_cli ~stdin:requests
+      "serve --accel-workload gemm-small --accel-dataflow MNK-SST"
+  in
+  Sys.remove requests;
+  Alcotest.(check int) "serve exits 0" 0 rc;
+  let lines =
+    String.split_on_char '\n' out |> List.filter (fun l -> String.trim l <> "")
+  in
+  Alcotest.(check int) "three responses" 3 (List.length lines);
+  List.iteri
+    (fun i line ->
+      match Json.parse line with
+      | Ok j ->
+        Alcotest.(check (option int)) "id kept" (Some (10 + i))
+          (Json.mem_int j "id");
+        Alcotest.(check bool) "rejected" true
+          (Json.member "ok" j = Some (Json.Bool false));
+        let err = Option.value ~default:"" (Json.mem_string j "error") in
+        Alcotest.(check bool) ("bad einsum message: " ^ err) true
+          (String.length err > 11 && String.sub err 0 11 = "bad einsum:")
+      | Error e -> Alcotest.failf "response is not JSON: %s" e)
+    lines
+
+(* The reply stream for a fixed 60-request corpus
+   (perfbench/corpus.py --seed 1 --count 60) is pinned byte for byte:
+   chosen designs, program documents and rejection texts.  The digest was
+   recorded before the design-search memo and the one-pass reply
+   encoding, which must change no byte. *)
+let serve_corpus_md5 = "1fcccc7a4642d4aac7adda7fa42f75d2"
+
+let test_cli_serve_byte_identity () =
+  let corpus =
+    if Sys.file_exists "serve_corpus.jsonl" then "serve_corpus.jsonl"
+    else "test/serve_corpus.jsonl"
+  in
+  let rc, out, _ =
+    run_cli ~stdin:corpus
+      "serve --accel-workload gemm-small --accel-dataflow MNK-SST \
+       --accel-rows 4 --accel-cols 4 --headroom 4"
+  in
+  Alcotest.(check int) "serve exits 0" 0 rc;
+  Alcotest.(check int) "60 replies" 60
+    (List.length
+       (List.filter (fun l -> l <> "") (String.split_on_char '\n' out)));
+  Alcotest.(check string) "reply stream md5" serve_corpus_md5
+    (Digest.to_hex (Digest.string out))
+
 let suite =
   [ Alcotest.test_case "programmable = ROM as generated" `Quick
       test_programmable_matches_rom;
@@ -576,6 +660,8 @@ let suite =
       test_reject_dataflow_mismatch;
     Alcotest.test_case "reject: capacity exceeded" `Quick
       test_reject_capacity_exceeded;
+    Alcotest.test_case "reject: oversized before layout" `Quick
+      test_reject_oversized_fast;
     Alcotest.test_case "reject: width overflow" `Quick
       test_reject_width_overflow;
     Alcotest.test_case "find_design reports rejections" `Quick
@@ -592,4 +678,8 @@ let suite =
     Alcotest.test_case "cli compile --run differential" `Quick
       test_cli_compile_run;
     Alcotest.test_case "cli serve einsum requests" `Quick
-      test_cli_serve_einsum ]
+      test_cli_serve_einsum;
+    Alcotest.test_case "cli serve bad einsum extents" `Quick
+      test_cli_serve_bad_extents;
+    Alcotest.test_case "cli serve reply bytes pinned" `Quick
+      test_cli_serve_byte_identity ]

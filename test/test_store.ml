@@ -11,6 +11,18 @@ let temp_dir prefix =
 
 (* ---------------- JSON ---------------- *)
 
+(* integral numbers take a fast path that must print what "%.0f" did *)
+let test_json_integer_numbers () =
+  List.iter
+    (fun f ->
+      let want =
+        if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+        else Printf.sprintf "%.17g" f
+      in
+      Alcotest.(check string) want want (Json.to_string (Json.Num f)))
+    [ 0.; -0.; 1.; -1.; 42.; -7.; 1e15 -. 1.; -.(1e15 -. 1.); 1e15; 2.5;
+      -0.5; 123456789012.; 4503599627370496. ]
+
 let test_json_roundtrip () =
   let v =
     Json.Obj
@@ -129,6 +141,24 @@ let test_store_eviction () =
   Store.put st "k7" "v7";
   Alcotest.(check (option string)) "post-evict put" (Some "v7")
     (Store.find st "k7")
+
+(* a put never evicts its own entry, even when every other entry looks
+   newer (entries written within one mtime tick tie the same way) *)
+let test_store_eviction_keeps_new_entry () =
+  let root = temp_dir "tlstore" in
+  let st = Store.open_store ~max_entries:3 ~root () in
+  for i = 1 to 3 do
+    Store.put st (Printf.sprintf "k%d" i) (Printf.sprintf "v%d" i)
+  done;
+  let entries = Filename.concat root "entries" in
+  let future = Unix.gettimeofday () +. 3600. in
+  Array.iter
+    (fun f -> Unix.utimes (Filename.concat entries f) future future)
+    (Sys.readdir entries);
+  Store.put st "k4" "v4";
+  Alcotest.(check (option string)) "new entry kept" (Some "v4")
+    (Store.find st "k4");
+  Alcotest.(check int) "capped" 3 (Store.stats st).Par.Cache.entries
 
 let test_store_concurrent_writers () =
   (* many domains hammer the same keys; first-insertion-wins semantics
@@ -468,10 +498,13 @@ let test_cli_sweep_and_serve () =
 let suite =
   [ Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json errors" `Quick test_json_errors;
+    Alcotest.test_case "json integer numbers" `Quick test_json_integer_numbers;
     Alcotest.test_case "store in-memory" `Quick test_store_memory;
     Alcotest.test_case "store persistence" `Quick test_store_persistence;
     Alcotest.test_case "store corruption -> miss" `Quick test_store_corruption;
     Alcotest.test_case "store eviction" `Quick test_store_eviction;
+    Alcotest.test_case "store eviction keeps the new entry" `Quick
+      test_store_eviction_keeps_new_entry;
     Alcotest.test_case "store concurrent writers" `Quick
       test_store_concurrent_writers;
     Alcotest.test_case "cache counters exact under domains" `Quick

@@ -210,6 +210,147 @@ let test_candidate_matrices () =
       Alcotest.(check bool) "full rank" false (Rat.is_zero det))
     ms
 
+(* the 3x3 search order, against a reference sort written here: fewest
+   nonzero magnitudes, then fewest negative entries, then lexicographically
+   largest, over the full-rank matrices in base-3 enumeration order *)
+let test_candidate_matrices_order () =
+  let ms = Search.candidate_matrices ~n:3 in
+  Alcotest.(check int) "3x3 count" 11808 (List.length ms);
+  let all =
+    List.init 19683 (fun code ->
+        List.init 3 (fun r ->
+            List.init 3 (fun c ->
+                let rec digit code i = if i = 0 then code mod 3 else digit (code / 3) (i - 1) in
+                digit code ((3 * r) + c) - 1)))
+    |> List.filter (fun m -> not (Rat.is_zero (Mat.det (Mat.of_int_rows m))))
+  in
+  let total f m = List.fold_left (fun a row -> List.fold_left (fun a x -> a + f x) a row) 0 m in
+  let reference =
+    List.stable_sort
+      (fun a b ->
+        match compare (total abs a) (total abs b) with
+        | 0 -> (
+          let negs = total (fun x -> if x < 0 then 1 else 0) in
+          match compare (negs a) (negs b) with 0 -> compare b a | o -> o)
+        | o -> o)
+      all
+  in
+  Alcotest.(check bool) "order = reference sort" true (ms = reference)
+
+(* Search.all_designs memoises by statement structure.  A hit (the cache
+   filled by a renamed or re-sized statement of the same structure) must
+   equal a fresh computation after the caches are cleared: names,
+   selections, matrices and per-tensor dataflows, every design built on
+   the caller's own statement. *)
+let rename_stmt stmt ~tensor ~iter =
+  let acc (a : Access.t) = { a with Access.tensor = tensor a.Access.tensor } in
+  Stmt.v (stmt.Stmt.name ^ "'")
+    ~iters:(List.map (fun (i : Iter.t) -> Iter.v (iter i.Iter.name) i.Iter.extent) stmt.Stmt.iters)
+    ~output:(acc stmt.Stmt.output)
+    ~inputs:(List.map acc stmt.Stmt.inputs)
+
+let resize_stmt stmt extents =
+  Stmt.v stmt.Stmt.name
+    ~iters:(List.map2 (fun (i : Iter.t) e -> Iter.v i.Iter.name e) stmt.Stmt.iters extents)
+    ~output:stmt.Stmt.output ~inputs:stmt.Stmt.inputs
+
+let design_view stmt (name, (d : Design.t)) =
+  let t = d.Design.transform in
+  Alcotest.(check bool) (name ^ " built on the caller's statement") true
+    (t.Transform.stmt == stmt);
+  Alcotest.(check string) "name is the design's own" name d.Design.name;
+  ( name,
+    Array.to_list t.Transform.selected,
+    Array.to_list (Array.map Array.to_list t.Transform.imatrix),
+    List.map
+      (fun ti -> (ti.Design.access.Access.tensor, Dataflow.to_string ti.Design.dataflow))
+      d.Design.tensors )
+
+(* the pre-memo search: every candidate analysed, first design per name *)
+let reference_all_designs ?selection stmt =
+  let sels = match selection with Some s -> [ s ] | None -> Search.selections stmt ~n:3 in
+  let table = Hashtbl.create 64 in
+  List.iter
+    (fun selected ->
+      let analyze = Design.analyzer stmt ~selected in
+      List.iter
+        (fun m ->
+          let d = analyze (Transform.v stmt ~selected ~matrix:m) in
+          if not (Hashtbl.mem table d.Design.name) then Hashtbl.add table d.Design.name d)
+        (Search.candidate_matrices ~n:(Array.length selected)))
+    sels;
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let test_all_designs_memo_differential () =
+  let views stmt ds = List.map (design_view stmt) ds in
+  let gemm_nk = Parse.stmt "C[m,n] += A[m,k] * B[n,k]" ~extents:[ ("m", 4); ("n", 4); ("k", 4) ] in
+  let gemm_kn = Parse.stmt "C[m,n] += A[m,k] * B[k,n]" ~extents:[ ("m", 4); ("n", 4); ("k", 4) ] in
+  let renamed_nk =
+    Parse.stmt "Out[t,x] += X[t,r] * W[x,r]" ~extents:[ ("t", 2); ("x", 7); ("r", 33) ]
+  in
+  let renamed_kn =
+    Parse.stmt "Acc[i,j] += Lhs[i,q] * Rhs[q,j]" ~extents:[ ("i", 5); ("j", 1); ("q", 64) ]
+  in
+  (* depth 4 with colliding initials: m and mo both label as M, so two
+     selections can yield the same name and the first selection wins *)
+  let tiled ~m ~mo ~n ~k =
+    Stmt.v "tiled"
+      ~iters:[ Iter.v "m" m; Iter.v "mo" mo; Iter.v "n" n; Iter.v "k" k ]
+      ~output:(Access.of_terms "C" ~depth:4 [ [ 0; 1 ]; [ 2 ] ])
+      ~inputs:
+        [ Access.of_terms "A" ~depth:4 [ [ 0; 1 ]; [ 3 ] ];
+          Access.of_terms "B" ~depth:4 [ [ 2 ]; [ 3 ] ] ]
+  in
+  let ren t = String.lowercase_ascii t ^ "_r" in
+  let iter_ren i = match i with "m" -> "n" | "n" -> "m" | i -> i ^ "x" in
+  let cases =
+    (* (label, statement that fills the cache, statement that hits) *)
+    [ ("gemm B[n,k]", renamed_nk, gemm_nk);
+      ("gemm B[k,n]", renamed_kn, gemm_kn);
+      ("tiled, colliding initials", tiled ~m:2 ~mo:3 ~n:4 ~k:5, tiled ~m:4 ~mo:1 ~n:2 ~k:9);
+      ("tiled renamed", tiled ~m:2 ~mo:3 ~n:4 ~k:5,
+       rename_stmt (tiled ~m:2 ~mo:3 ~n:4 ~k:5) ~tensor:ren ~iter:iter_ren) ]
+    @ List.map
+        (fun (k, m, n) ->
+          (Printf.sprintf "gemm %dx%dx%d" m n k, gemm_nk, resize_stmt gemm_nk [ m; n; k ]))
+        [ (1, 1, 1); (64, 4, 4); (17, 3, 1); (1, 64, 64); (9, 2, 33) ]
+    @ List.map
+        (fun (label, stmt) ->
+          (label, rename_stmt stmt ~tensor:ren ~iter:(fun i -> i ^ "w"), stmt))
+        [ ("conv2d", Workloads.conv2d ~k:4 ~c:4 ~y:4 ~x:4 ~p:3 ~q:3);
+          ("depthwise", Workloads.depthwise_conv ~k:4 ~y:4 ~x:4 ~p:3 ~q:3);
+          ("mttkrp", Workloads.mttkrp ~i:4 ~j:4 ~k:4 ~l:4);
+          ("ttmc", Workloads.ttmc ~i:4 ~j:4 ~k:4 ~l:4 ~m:4);
+          ("batched-gemv", Workloads.batched_gemv ~m:4 ~n:4 ~k:4) ]
+  in
+  let check ?selection (label, filler, stmt) =
+    Par.Cache.clear_all ();
+    ignore (Search.all_designs ?selection filler);
+    let hit = views stmt (Search.all_designs ?selection stmt) in
+    Par.Cache.clear_all ();
+    let fresh = views stmt (Search.all_designs ?selection stmt) in
+    Alcotest.(check bool) (label ^ ": hit = fresh") true (hit = fresh);
+    Alcotest.(check bool) (label ^ ": non-empty") true (hit <> [])
+  in
+  List.iter (fun c -> check c) cases;
+  List.iter (fun c -> check ~selection:[| 0; 2; 3 |] c)
+    [ ("tiled ?selection", tiled ~m:2 ~mo:3 ~n:4 ~k:5, tiled ~m:3 ~mo:2 ~n:5 ~k:4);
+      ("conv2d ?selection", Workloads.conv2d ~k:2 ~c:2 ~y:2 ~x:2 ~p:2 ~q:2,
+       Workloads.conv2d ~k:4 ~c:4 ~y:4 ~x:4 ~p:3 ~q:3) ];
+  (* a full-selection hit must not be served for a ?selection call, and
+     both must match the pre-memo search *)
+  List.iter
+    (fun (label, selection, stmt) ->
+      Par.Cache.clear_all ();
+      ignore (Search.all_designs stmt);
+      Alcotest.(check bool) (label ^ ": = pre-memo search") true
+        (views stmt (Search.all_designs ?selection stmt)
+         = views stmt (reference_all_designs ?selection stmt)))
+    [ ("gemm", None, gemm_kn);
+      ("tiled", None, tiled ~m:4 ~mo:1 ~n:2 ~k:9);
+      ("tiled ?selection", Some [| 1; 2; 3 |], tiled ~m:4 ~mo:1 ~n:2 ~k:9) ]
+
 let test_netlist_supported () =
   let d = Design.analyze fig1b in
   Alcotest.(check bool) "SST supported" true (Design.netlist_supported d)
@@ -341,6 +482,10 @@ let suite =
       test_search_loose_matching;
     Alcotest.test_case "GEMM letter space" `Quick test_all_designs_gemm;
     Alcotest.test_case "candidate matrices" `Quick test_candidate_matrices;
+    Alcotest.test_case "candidate matrices: 3x3 order" `Quick
+      test_candidate_matrices_order;
+    Alcotest.test_case "all_designs memo differential" `Quick
+      test_all_designs_memo_differential;
     Alcotest.test_case "netlist support flag" `Quick test_netlist_supported ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_classification_sound; prop_one_to_one;
