@@ -482,11 +482,11 @@ let suite =
       test_search_loose_matching;
     Alcotest.test_case "GEMM letter space" `Quick test_all_designs_gemm;
     Alcotest.test_case "candidate matrices" `Quick test_candidate_matrices;
-    Alcotest.test_case "candidate matrices: 3x3 order" `Quick
-      test_candidate_matrices_order;
-    Alcotest.test_case "all_designs memo differential" `Quick
-      test_all_designs_memo_differential;
     Alcotest.test_case "netlist support flag" `Quick test_netlist_supported ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_classification_sound; prop_one_to_one;
         prop_reuse_dim_complements_rank ]
+  @ [ Alcotest.test_case "candidate matrices: 3x3 order" `Quick
+        test_candidate_matrices_order;
+      Alcotest.test_case "all_designs memo differential" `Quick
+        test_all_designs_memo_differential ]
